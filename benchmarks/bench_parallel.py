@@ -1,27 +1,23 @@
 """Parallel-layer benchmarks: farm speedup and day-loop hot-path deltas.
 
-Times (a) the experiment farm at ``--jobs 1`` vs ``--jobs 4`` on a warm
+Times (a) the experiment farm at ``--jobs 1`` vs ``--jobs N`` on a warm
 scenario cache — with s8_1 decomposed into its four stationary-trial
 units, the granularity the farm actually schedules at ``jobs > 1`` —
-(b) the intra-run shard pool (day-loop wall serial vs ``--shard-workers
-{2,4}``, s8_1 serial vs the experiment pool), (c) the three eliminated
-day-loop hot paths against their in-tree
-:mod:`repro.simulation.reference` twins, and (d) the day-level
+(b) the three eliminated day-loop hot paths against their in-tree
+:mod:`repro.simulation.reference` twins, and (c) the day-level
 checkpoint save/load round-trip against the day-loop wall it insures
 (budget: mean periodic save < 2 % of day-loop wall at paper scale),
 recording everything in ``BENCH_parallel.json`` (repo root).
 
-Parallel numbers are hardware-honest: both ``os.cpu_count()`` and the
-scheduler affinity mask (the CPUs this process may actually use, which
-containers routinely restrict below ``cpu_count``) are recorded
-alongside. On a host with fewer than 4 usable CPUs a measured 4-worker
-wall reflects contention, not scheduling, so ``speedup_at_4`` then
-falls back to an LPT-schedule model over the *measured* per-task walls
-— ``speedup_at_4_basis`` says which one the headline number is, and
-both are always recorded. The Amdahl bound is computed at unit
-granularity (``total / longest_task``): with s8_1 split into four
-trials the longest schedulable task is its May run, not the whole
-experiment, which is exactly the ceiling the decomposition raises.
+Parallel numbers are measured, never modelled: both ``os.cpu_count()``
+and the scheduler affinity mask (the CPUs this process may actually
+use, which containers routinely restrict below ``cpu_count``) are
+recorded, and the farm runs at ``N = min(4, usable CPUs)`` so the
+measured wall reflects the schedule rather than time-slicing. The
+Amdahl bound is computed at unit granularity (``total / longest_task``):
+with s8_1 split into four trials the longest schedulable task is its
+May run, not the whole experiment, which is exactly the ceiling the
+decomposition raises.
 """
 
 from __future__ import annotations
@@ -35,9 +31,9 @@ import numpy as np
 
 from repro import obs
 from repro.experiments import s8_1
-from repro.experiments.context import ensure_snapshot, get_result
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.parallel import run_farm, shards
+from repro.experiments.context import get_result
+from repro.experiments.registry import EXPERIMENTS
+from repro.parallel import run_farm
 from repro.simulation import SimulationEngine, paper_scenario, small_scenario
 from repro.simulation import reference
 from repro.simulation.phases.online import update_online
@@ -61,19 +57,8 @@ _summary = {
     "cpu_count": os.cpu_count(),
     "cpu_affinity": _usable_cpus(),
     "farm": {},
-    "intra_run": {},
     "day_loop": {"speedups": {}, "timings_s": {}},
 }
-
-
-def _lpt_makespan(costs, workers: int) -> float:
-    """Longest-processing-time-first schedule length on ``workers``
-    machines — the schedule :func:`repro.parallel.costs.longest_first`
-    approximates, evaluated over measured walls."""
-    loads = [0.0] * workers
-    for cost in sorted(costs, reverse=True):
-        loads[loads.index(min(loads))] += cost
-    return max(loads)
 
 
 def _flush():
@@ -98,10 +83,18 @@ def _live_state():
     return engine.state, result
 
 
+#: Measured farm speedup required at ``jobs = min(4, usable CPUs)``
+#: when at least two CPUs are usable (1.77x was measured at 2 CPUs).
+FARM_SPEEDUP_GATE = 1.5
+
+
 def test_bench_farm_jobs(benchmark, result):
-    """Full experiment suite: serial vs a 4-worker pool, warm cache."""
+    """Full experiment suite: serial vs a pool of ``min(4, usable CPUs)``
+    workers, warm cache."""
     scenario = _summary["scenario"]
     ids = EXPERIMENTS.ids()
+    usable = _summary["cpu_affinity"]
+    jobs = min(4, usable)
     # Warm the cache entry and the lazy experiment imports once.
     run_farm(scenario, 2021, ["fig02"], jobs=1)
 
@@ -110,7 +103,7 @@ def test_bench_farm_jobs(benchmark, result):
     serial_s = time.perf_counter() - t0
 
     def parallel():
-        return run_farm(scenario, 2021, ids, jobs=4)
+        return run_farm(scenario, 2021, ids, jobs=jobs)
 
     t0 = time.perf_counter()
     outcomes = benchmark.pedantic(parallel, rounds=1, iterations=1)
@@ -119,8 +112,8 @@ def test_bench_farm_jobs(benchmark, result):
     per_experiment = {o.experiment_id: round(o.wall_s, 4) for o in serial}
 
     # The farm schedules s8_1 as four independent units at jobs > 1, so
-    # the scheduling model and the Amdahl bound must use that
-    # granularity too. Measure each unit's serial wall in-process.
+    # the Amdahl bound must use that granularity too. Measure each
+    # unit's serial wall in-process.
     sim_result = get_result(scenario, 2021)
     unit_walls = {}
     for unit in s8_1.UNITS:
@@ -136,27 +129,17 @@ def test_bench_farm_jobs(benchmark, result):
     )
     total = sum(task_walls.values())
     longest = max(task_walls.values())
-    makespan = _lpt_makespan(task_walls.values(), 4)
-    modeled_speedup = total / makespan if makespan > 0 else float("inf")
-    measured_speedup = serial_s / parallel_s
-
-    # On a host whose affinity mask allows < 4 CPUs, 4 workers time-slice
-    # one core and the measured wall reflects contention, not the
-    # schedule — the LPT model over measured walls is the honest
-    # headline there, and the measurement is still recorded beside it.
-    basis = "measured" if _summary["cpu_affinity"] >= 4 else "lpt_model"
-    speedup_at_4 = measured_speedup if basis == "measured" else modeled_speedup
+    speedup = serial_s / parallel_s
 
     _summary["farm"] = {
         "experiments": len(ids),
         "schedulable_tasks": len(task_walls),
+        "jobs": jobs,
         "serial_s": round(serial_s, 2),
-        "jobs4_s": round(parallel_s, 2),
-        "speedup_at_4": round(speedup_at_4, 2),
-        "speedup_at_4_basis": basis,
-        "measured_speedup_at_4": round(measured_speedup, 2),
-        "lpt_model_speedup_at_4": round(modeled_speedup, 2),
-        "lpt_makespan_at_4_s": round(makespan, 2),
+        "parallel_s": round(parallel_s, 2),
+        "speedup": round(speedup, 2),
+        # Asserted only where a second CPU exists to run a worker on.
+        "gate": FARM_SPEEDUP_GATE if usable >= 2 else None,
         # The critical-path ceiling for *any* job count at unit
         # granularity: the longest schedulable task (s8_1's May trial,
         # not the whole experiment) bounds every schedule.
@@ -167,84 +150,8 @@ def test_bench_farm_jobs(benchmark, result):
     }
     _flush()
     assert [o.experiment_id for o in outcomes] == ids
-    # The point of the unit decomposition: the farm schedule clears the
-    # old whole-experiment Amdahl ceiling (~1.09 at small scale).
-    assert _summary["farm"]["speedup_at_4"] >= 2.0, _summary["farm"]
-
-
-def test_bench_intra_run(benchmark):
-    """Tentpole numbers: the day loop serial vs ``--shard-workers
-    {2,4}``, and s8_1 serial vs the experiment shard pool.
-
-    Walls are measured as-is; on a host with fewer usable CPUs than
-    workers the sharded walls include time-slicing contention plus IPC,
-    so speedups below 1.0 are expected and recorded honestly — the
-    ``host_note`` flags it. Output equality is not re-checked here (the
-    digest tests in ``tests/test_shards.py`` pin byte-identity).
-    """
-    scenario = _summary["scenario"]
-
-    def day_loop_wall(workers: int) -> float:
-        engine_result = SimulationEngine(small_scenario(seed=2021)).run(
-            shard_workers=workers
-        )
-        return sum(engine_result.day_loop_timings.values())
-
-    benchmark.pedantic(lambda: day_loop_wall(0), rounds=1, iterations=1)
-
-    # Interleave modes and keep each mode's best round, like the obs
-    # overhead bench: jitter on ~1 s builds exceeds the deltas.
-    walls = {0: [], 2: [], 4: []}
-    for _ in range(2):
-        for workers in walls:
-            walls[workers].append(day_loop_wall(workers))
-    serial_s = min(walls[0])
-    shard2_s = min(walls[2])
-    shard4_s = min(walls[4])
-
-    entry = ensure_snapshot(scenario, 2021)
-    sim_result = get_result(scenario, 2021)
-    t0 = time.perf_counter()
-    serial_report = run_experiment("s8_1", sim_result)
-    s8_serial_s = time.perf_counter() - t0
-
-    s8_pool_s = None
-    if entry is not None:
-        pool = shards.configure_experiment_pool(2, str(entry))
-        try:
-            if pool is not None:
-                t0 = time.perf_counter()
-                pooled_report = run_experiment("s8_1", sim_result)
-                s8_pool_s = time.perf_counter() - t0
-                assert pooled_report.rows == serial_report.rows
-        finally:
-            shards.shutdown_experiment_pool()
-
-    usable = _summary["cpu_affinity"]
-    _summary["intra_run"] = {
-        "day_loop": {
-            "serial_s": round(serial_s, 3),
-            "shard2_s": round(shard2_s, 3),
-            "shard4_s": round(shard4_s, 3),
-            "speedup_at_2": round(serial_s / shard2_s, 2),
-            "speedup_at_4": round(serial_s / shard4_s, 2),
-        },
-        "s8_1": {
-            "serial_s": round(s8_serial_s, 2),
-            "pool2_s": None if s8_pool_s is None else round(s8_pool_s, 2),
-            "speedup_at_2": (
-                None if s8_pool_s is None
-                else round(s8_serial_s / s8_pool_s, 2)
-            ),
-        },
-        "host_note": (
-            None if usable >= 4 else
-            f"affinity allows {usable} CPU(s); sharded walls measure "
-            "contention + IPC overhead, not the schedule"
-        ),
-    }
-    _flush()
-    assert serial_s > 0 and shard2_s > 0 and shard4_s > 0
+    if usable >= 2:
+        assert speedup >= FARM_SPEEDUP_GATE, _summary["farm"]
 
 
 def test_bench_update_online(benchmark):

@@ -18,7 +18,8 @@ is safely re-runnable. Guarantees:
 
 History tables stream block-by-block; the folded state tables
 (``hotspots``, ``wallets``) are refreshed from the chain's ledger in
-the final transaction, matching the chain/ledger split.
+the last batch's transaction, so a reader never sees the tip checkpoint
+paired with stale ledger state.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, List
 
 from repro import obs
 from repro.chain.block import Block
@@ -78,13 +78,20 @@ def ingest_chain(
     n_fresh = len(chain.blocks) - start_position
     obs.gauge("etl.ingest.checkpoint_lag", n_fresh)
     txn_count = 0
-    for batch in _batches(chain, start_position, batch_blocks):
+    total = len(chain.blocks)
+    step = max(1, batch_blocks)
+    for low in range(start_position, total, step):
+        # Slicing a log-backed sequence builds just this window of views.
+        batch = chain.blocks[low : min(low + step, total)]
         batch_started = perf_counter()
         batch_txns = 0
         with store.connection:  # one transaction per batch
             for block in batch:
                 batch_txns += _load_block(store, block)
-            store._set_meta("checkpoint_height", str(batch[-1].height))
+            if low + step >= total:
+                _commit_tip(store, chain)
+            else:
+                store._set_meta("checkpoint_height", str(batch[-1].height))
         txn_count += batch_txns
         obs.observe("etl.ingest.batch_s", perf_counter() - batch_started)
         obs.counter("etl.ingest.blocks", len(batch))
@@ -93,13 +100,11 @@ def ingest_chain(
         obs.gauge(
             "etl.ingest.checkpoint_lag", chain.height - batch[-1].height
         )
-    # Folded ledger state + tip marker, in one final transaction. Always
-    # refreshed: the ledger is the chain's current state even when no
-    # new history rows landed.
-    with store.connection:
-        _sync_ledger_state(store, chain)
-        store._set_meta("checkpoint_height", str(chain.height))
-        store._set_meta("tip_hash", chain.tip.hash)
+    if n_fresh == 0:
+        # Nothing new: still refresh the folded state, which is the
+        # chain's current ledger even when no history rows landed.
+        with store.connection:
+            _commit_tip(store, chain)
     obs.gauge("etl.ingest.checkpoint_lag", 0)
     wall_s = perf_counter() - started
     obs.counter("etl.ingest.runs")
@@ -120,18 +125,6 @@ def ingest_chain(
         blocks_ingested=n_fresh,
         transactions_ingested=txn_count,
     )
-
-
-def _batches(
-    chain: Blockchain, start: int, size: int
-) -> Iterable[List[Block]]:
-    """Materialise blocks one transaction-batch at a time from position
-    ``start`` (slicing a log-backed sequence builds just that window of
-    views)."""
-    step = max(1, size)
-    total = len(chain.blocks)
-    for low in range(start, total, step):
-        yield chain.blocks[low : min(low + step, total)]
 
 
 def _load_block(store: EtlStore, block: Block) -> int:
@@ -272,6 +265,14 @@ def _load_rewards(
                 share.reward_type.value,
             ),
         )
+
+
+def _commit_tip(store: EtlStore, chain: Blockchain) -> None:
+    """Folded ledger state plus the tip checkpoint and hash; runs inside
+    the caller's transaction so all three commit together."""
+    _sync_ledger_state(store, chain)
+    store._set_meta("checkpoint_height", str(chain.height))
+    store._set_meta("tip_hash", chain.tip.hash)
 
 
 def _sync_ledger_state(store: EtlStore, chain: Blockchain) -> None:

@@ -141,13 +141,6 @@ def main(argv=None) -> int:
         "an interrupted build resumes from it bit-identically",
     )
     parser.add_argument(
-        "--shard-workers", type=int, default=0, metavar="N",
-        help="intra-run parallelism: shard a cold scenario build's day "
-        "loop over N worker processes, and fan decomposable "
-        "experiments (s8_1's four stationary trials) out over the "
-        "same pool; all output is byte-identical to serial",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="write day-loop phase timings (from the phase scheduler) "
         "and per-experiment wall/CPU as profile.json (next to "
@@ -201,57 +194,36 @@ def main(argv=None) -> int:
     print(f"building {resolved.label} scenario "
           f"(seed {resolved.config.seed}, digest {resolved.digest[:12]})...")
     started = time.time()
-    result = get_result(
-        resolved, checkpoint_every=args.checkpoint_every,
-        shard_workers=args.shard_workers,
-    )
+    result = get_result(resolved, checkpoint_every=args.checkpoint_every)
     scenario_ready_s = time.time() - started
     print(f"scenario ready in {scenario_ready_s:.1f}s\n")
 
     experiments_started = time.time()
     timings = {}
-    try:
-        if args.jobs > 1:
-            from repro.parallel import run_farm
+    if args.jobs > 1:
+        from repro.parallel import run_farm
 
-            outcomes = run_farm(
-                resolved, None, ids, jobs=args.jobs,
-                checkpoint_every=args.checkpoint_every,
-                shard_workers=args.shard_workers,
-            )
-            reports = [outcome.report for outcome in outcomes]
-            timings = {
-                outcome.experiment_id: {
-                    "wall_s": outcome.wall_s, "cpu_s": outcome.cpu_s,
-                }
-                for outcome in outcomes
+        outcomes = run_farm(
+            resolved, None, ids, jobs=args.jobs,
+            checkpoint_every=args.checkpoint_every,
+        )
+        reports = [outcome.report for outcome in outcomes]
+        timings = {
+            outcome.experiment_id: {
+                "wall_s": outcome.wall_s, "cpu_s": outcome.cpu_s,
             }
-        else:
-            if args.shard_workers > 0:
-                # Persistent pool for experiments that decompose into
-                # independent units (s8_1); a no-op without a cache
-                # entry to rehydrate workers from.
-                from repro.experiments.context import ensure_snapshot
-                from repro.parallel import shards
-
-                entry = ensure_snapshot(resolved)
-                shards.configure_experiment_pool(
-                    args.shard_workers,
-                    None if entry is None else str(entry),
-                )
-            reports = []
-            for experiment_id in ids:
-                wall0 = time.perf_counter()
-                cpu0 = time.process_time()
-                reports.append(run_experiment(experiment_id, result))
-                timings[experiment_id] = {
-                    "wall_s": time.perf_counter() - wall0,
-                    "cpu_s": time.process_time() - cpu0,
-                }
-    finally:
-        from repro.parallel import shards
-
-        shards.shutdown_experiment_pool()
+            for outcome in outcomes
+        }
+    else:
+        reports = []
+        for experiment_id in ids:
+            wall0 = time.perf_counter()
+            cpu0 = time.process_time()
+            reports.append(run_experiment(experiment_id, result))
+            timings[experiment_id] = {
+                "wall_s": time.perf_counter() - wall0,
+                "cpu_s": time.process_time() - cpu0,
+            }
     experiments_wall_s = time.time() - experiments_started
 
     for report in reports:
@@ -284,7 +256,7 @@ def main(argv=None) -> int:
             "experiments": timings,
             "experiments_wall_s": experiments_wall_s,
             # High-water-mark RSS: this process, plus the max over
-            # reaped shard/farm workers when any ran.
+            # reaped farm workers when any ran.
             "memory": {
                 "peak_rss_bytes": obs.peak_rss_bytes(children=True),
             },

@@ -543,6 +543,12 @@ class ServeServer(HTTPServer):
         self._threads: List[threading.Thread] = []
         self._started = False
         self._accepting = False
+        #: Orders serve_forever's start against drain: whichever takes
+        #: it first decides whether the accept loop ever runs.
+        self._lifecycle = threading.Lock()
+        #: Set once serve_forever has either entered its accept loop or
+        #: declined to because a drain came first.
+        self._accept_ready = threading.Event()
         self._drained = threading.Event()
         self.draining = False
 
@@ -564,8 +570,17 @@ class ServeServer(HTTPServer):
         obs.gauge("serve.workers", self.workers)
 
     def serve_forever(self, poll_interval: float = 0.25) -> None:
-        self.start_workers()
-        self._accepting = True
+        """Start the pool and run the accept loop until :meth:`drain`.
+
+        Returns at once when a drain already began, so a drain that
+        raced ahead of this call still stops the server.
+        """
+        with self._lifecycle:
+            self._accept_ready.set()
+            if self.draining:
+                return
+            self.start_workers()
+            self._accepting = True
         try:
             super().serve_forever(poll_interval)
         finally:
@@ -647,13 +662,16 @@ class ServeServer(HTTPServer):
         New connections get an immediate 503 while queued ones complete;
         the worker threads exit once the queue is empty. Safe to call
         from a signal-handling thread while ``serve_forever`` runs in
-        another.
+        another, and before ``serve_forever`` starts: the accept loop
+        then never runs.
         """
         if self._drained.is_set():
             return
-        self.draining = True
+        with self._lifecycle:
+            self.draining = True
+            accepting = self._accepting
         obs.trace_event("serve.drain", queued=self.queue_size())
-        if self._accepting:
+        if accepting:
             self.shutdown()  # stops the accept loop; waits until it did
         for _ in self._threads:
             self._queue.put(_STOP)
@@ -720,7 +738,9 @@ def serve(
     The accept loop runs on a helper thread; the calling thread waits
     for a shutdown signal so the signal handler only has to set an
     event — ``drain()`` (stop accepting → flush the queue → join the
-    workers) runs outside handler context.
+    workers) runs outside handler context. The handlers are installed
+    and the accept loop entered before the "listening" line prints, so
+    a supervisor that signals as soon as it reads that line is heard.
     """
     import signal
 
@@ -730,14 +750,6 @@ def serve(
         cache_ttl_s=cache_ttl_s, keep_alive=keep_alive, verbose=verbose,
     )
     bound_host, bound_port = server.server_address[:2]
-    print(
-        f"repro.serve listening on http://{bound_host}:{bound_port}/ "
-        f"({server.workers} workers, queue depth {server.queue_depth})"
-    )
-    obs.trace_event(
-        "serve.start", host=bound_host, port=bound_port, db=db_path,
-        workers=server.workers, queue_depth=server.queue_depth,
-    )
     stop = threading.Event()
 
     def _on_signal(signum, frame) -> None:  # noqa: ARG001
@@ -753,6 +765,16 @@ def serve(
         target=server.serve_forever, name="serve-accept", daemon=True
     )
     accept_thread.start()
+    server._accept_ready.wait()
+    print(
+        f"repro.serve listening on http://{bound_host}:{bound_port}/ "
+        f"({server.workers} workers, queue depth {server.queue_depth})",
+        flush=True,
+    )
+    obs.trace_event(
+        "serve.start", host=bound_host, port=bound_port, db=db_path,
+        workers=server.workers, queue_depth=server.queue_depth,
+    )
     try:
         # Poll rather than block forever: CPython delivers signal
         # handlers on the main thread only between bytecodes, and an

@@ -63,12 +63,6 @@ def main(argv=None) -> int:
         "--checkpoint-dir (exit summary reports the partial state)",
     )
     parser.add_argument(
-        "--shard-workers", type=int, default=0, metavar="N",
-        help="scatter the day loop's randomness-free work over N "
-        "worker processes (0 = serial); the chain is byte-identical "
-        "to the serial run for any N",
-    )
-    parser.add_argument(
         "--chain-log", dest="chain_log", action="store_true", default=True,
         help="spill finalized blocks to an append-to-disk chain log, "
         "bounding chain RSS (the default; results are byte-identical "
@@ -117,7 +111,6 @@ def main(argv=None) -> int:
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         stop_after_day=args.stop_after,
-        shard_workers=args.shard_workers,
         chain_log=args.chain_log,
     )
     elapsed = time.time() - started
@@ -142,7 +135,7 @@ def main(argv=None) -> int:
     print(f"  relayed:  {result.peerbook.relayed_fraction():.1%} of peers")
     from repro import obs
 
-    peak_rss = obs.peak_rss_bytes(children=args.shard_workers > 0)
+    peak_rss = obs.peak_rss_bytes()
     if peak_rss:
         print(f"  peak RSS: {peak_rss / 1e9:.2f} GB")
 

@@ -1,21 +1,8 @@
-"""TrafficPhase: LoRaWAN data traffic settled through state channels.
-
-The phase is split into the same leader/worker halves as PoC
-(:mod:`repro.simulation.phases.poc`): a *plan* half that owns the
-``"traffic"`` RNG stream and draws volumes, spammer designation and
-per-channel packet attribution serially, and a randomness-free *finish*
-half — building the ``StateChannelOpen``/``StateChannelClose``
-transaction pair (sorted summaries, stake arithmetic) for each planned
-channel — that can scatter over the shard pool grouped by hex region.
-The leader then applies ledger credits, batch appends and activity
-updates in channel order, so ``--shard-workers N`` is byte-identical to
-serial.
-"""
+"""TrafficPhase: LoRaWAN data traffic settled through state channels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -29,7 +16,7 @@ from repro.chain.transactions import (
 from repro.simulation.phases.base import Phase
 from repro.simulation.state import WorldState
 
-__all__ = ["ChannelPlan", "TrafficPhase", "ferry_weights", "finish_channel"]
+__all__ = ["TrafficPhase", "ferry_weights"]
 
 _BLOCKS_PER_DAY = units.BLOCKS_PER_DAY
 
@@ -66,46 +53,6 @@ def ferry_weights(
     }
 
 
-@dataclass(frozen=True)
-class ChannelPlan:
-    """One planned state channel: everything the randomness-free finish
-    half needs, as picklable primitives. ``region`` is the shard key —
-    the res-4 hex token of the channel's heaviest gateway (where its
-    traffic concentrates), '' when unknown."""
-
-    owner: Address
-    oui: int
-    channel_id: str
-    open_block: int
-    close_block: int
-    alloc: Tuple[Tuple[Address, int], ...]
-    expire_blocks: int
-    region: str
-
-
-def finish_channel(plan: ChannelPlan) -> Tuple[StateChannelOpen, StateChannelClose]:
-    """Build the open/close transaction pair for a planned channel.
-
-    Pure function of the plan — no RNG, no world state — so it runs
-    identically on the leader or on any shard worker.
-    """
-    total_dcs = sum(count for _, count in plan.alloc)
-    stake = max(total_dcs, 10_000)
-    open_txn = StateChannelOpen(
-        channel_id=plan.channel_id, owner=plan.owner, oui=plan.oui,
-        amount_dc=stake, expire_within_blocks=plan.expire_blocks,
-    )
-    summaries = tuple(
-        StateChannelSummary(hotspot=gw, num_packets=count, num_dcs=count)
-        for gw, count in sorted(plan.alloc)
-    )
-    close_txn = StateChannelClose(
-        channel_id=plan.channel_id, owner=plan.owner, oui=plan.oui,
-        summaries=summaries,
-    )
-    return open_txn, close_txn
-
-
 class TrafficPhase(Phase):
     """Generates the day's traffic and its on-chain state channels.
 
@@ -117,36 +64,16 @@ class TrafficPhase(Phase):
     ferry_impl = staticmethod(ferry_weights)
 
     def run_day(self, state: WorldState, day: int) -> None:
-        plans = self._plan_day(state, day)
-        if not plans:
-            return
-        pool = state.shard_pool
-        if pool is not None and len(plans) > 1:
-            finished = self._finish_sharded(state, plans)
-        else:
-            finished = [finish_channel(plan) for plan in plans]
-        for plan, (open_txn, close_txn) in zip(plans, finished):
-            self._apply_channel(state, plan, open_txn, close_txn)
-
-    # ------------------------------------------------------------- plan --
-
-    def _plan_day(self, state: WorldState, day: int) -> List[ChannelPlan]:
-        """The leader half: every ``"traffic"`` stream draw — volumes,
-        spammer designation, per-channel attribution — happens here, in
-        exactly the order the unsplit phase consumed it (transaction
-        assembly never drew randomness, so hoisting it out changes no
-        draw)."""
         rng = state.hub.stream("traffic")
         traffic = state.traffic.day_traffic(day, rng)
         weights = self.ferry_impl(state, day, rng)
         if not weights:
-            return []
+            return
 
         if traffic.spam_packets > 0 and not state.spammers:
             self._designate_spammers(state, rng)
         spam_weights = self._spam_weights(state, day)
 
-        plans: List[ChannelPlan] = []
         # Console channels: one open/close pair per close slot.
         closes = max(1, int(1440 / state.config.console_close_blocks / 2))
         per_close = traffic.console_packets // closes
@@ -163,11 +90,11 @@ class TrafficPhase(Phase):
                 )
                 for gw, count in spam_alloc.items():
                     alloc[gw] = alloc.get(gw, 0) + count
-            plans.append(self._plan_channel(
+            self._emit_channel(
                 state, state.console_owner, oui=1 + slot % 2,
                 open_block=open_block, close_block=close_block, alloc=alloc,
                 expire_blocks=state.config.console_close_blocks * 2,
-            ))
+            )
 
         # Third-party routers: later, sparser, longer channels.
         third_closes = state.traffic.channels_per_day(third_party=True)
@@ -185,15 +112,14 @@ class TrafficPhase(Phase):
                 alloc = state.traffic.attribute_packets(
                     per_third, weights, rng
                 )
-                plans.append(self._plan_channel(
+                self._emit_channel(
                     state, state.oui_owners[oui], oui=oui,
                     open_block=close_block - 480, close_block=close_block,
                     alloc=alloc, expire_blocks=960,
-                ))
-        return plans
+                )
 
     @staticmethod
-    def _plan_channel(
+    def _emit_channel(
         state: WorldState,
         owner: Address,
         oui: int,
@@ -201,81 +127,26 @@ class TrafficPhase(Phase):
         close_block: int,
         alloc: Dict[Address, int],
         expire_blocks: int,
-    ) -> ChannelPlan:
-        state.channel_seq += 1
-        region = ""
-        if alloc:
-            # Heaviest gateway, count-descending with the gateway as a
-            # deterministic tie-break.
-            top = min(alloc.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-            slot = state.fleet.index.get(top)
-            if slot is not None:
-                region = state.fleet.regions[slot]
-        return ChannelPlan(
-            owner=owner,
-            oui=oui,
-            channel_id=f"sc-{oui}-{state.channel_seq}",
-            open_block=open_block,
-            close_block=close_block,
-            alloc=tuple(alloc.items()),
-            expire_blocks=expire_blocks,
-            region=region,
-        )
-
-    # ----------------------------------------------------------- finish --
-
-    @staticmethod
-    def _finish_sharded(
-        state: WorldState, plans: List[ChannelPlan]
-    ) -> List[Tuple[StateChannelOpen, StateChannelClose]]:
-        """Scatter channel finishes over the shard pool; gather aligned
-        with ``plans``.
-
-        Partition: channel indices sort by (region, index) and split
-        into contiguous chunks, one per worker — the same geographic
-        grouping as the PoC phase. Merge: every transaction pair comes
-        back tagged with its channel index, so the apply loop replays in
-        channel order and the output is byte-identical to serial for
-        any worker count.
-        """
-        pool = state.shard_pool
-        order = sorted(
-            range(len(plans)), key=lambda i: (plans[i].region, i)
-        )
-        n_chunks = min(pool.workers, len(order))
-        base, extra = divmod(len(order), n_chunks)
-        chunks = []
-        start = 0
-        for c in range(n_chunks):
-            size = base + (1 if c < extra else 0)
-            chunks.append(order[start:start + size])
-            start += size
-        gathered = pool.run([
-            ("traffic_finish", ([plans[i] for i in chunk], chunk))
-            for chunk in chunks
-        ])
-        finished: Dict[int, Tuple] = {}
-        for part in gathered:
-            for index, pair in part:
-                finished[index] = pair
-        return [finished[i] for i in range(len(plans))]
-
-    # ------------------------------------------------------------ apply --
-
-    @staticmethod
-    def _apply_channel(
-        state: WorldState,
-        plan: ChannelPlan,
-        open_txn: StateChannelOpen,
-        close_txn: StateChannelClose,
     ) -> None:
-        """Leader-side mutations, replayed in channel order: ledger
-        stake credit, batch appends, per-hotspot activity tallies."""
-        state.chain.ledger.credit_dc(plan.owner, open_txn.amount_dc)
-        state.batch.append((max(plan.open_block, 2), open_txn))
-        state.batch.append((plan.close_block, close_txn))
+        """One state channel: ledger stake credit, the open/close pair
+        on the day batch, per-hotspot activity tallies."""
+        state.channel_seq += 1
+        channel_id = f"sc-{oui}-{state.channel_seq}"
+        stake = max(sum(alloc.values()), 10_000)
+        state.chain.ledger.credit_dc(owner, stake)
+        state.batch.append((max(open_block, 2), StateChannelOpen(
+            channel_id=channel_id, owner=owner, oui=oui,
+            amount_dc=stake, expire_within_blocks=expire_blocks,
+        )))
+        summaries = tuple(
+            StateChannelSummary(hotspot=gw, num_packets=count, num_dcs=count)
+            for gw, count in sorted(alloc.items())
+        )
+        state.batch.append((close_block, StateChannelClose(
+            channel_id=channel_id, owner=owner, oui=oui, summaries=summaries,
+        )))
         activity = state.activity
-        for gw, count in plan.alloc:
+        for gw, count in alloc.items():
             hotspot = state.world.hotspots.get(gw)
             if hotspot is None:
                 continue

@@ -107,3 +107,53 @@ class TestLedgerFold:
             gateway: record.owner
             for gateway, record in builder.chain.ledger.hotspots.items()
         }
+
+
+class _SampleAfterCommit:
+    """Stands in for a store's connection; calls ``sample`` after every
+    ``with connection:`` block, i.e. after every ingest commit."""
+
+    def __init__(self, connection, sample):
+        self._connection = connection
+        self._sample = sample
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+    def __enter__(self):
+        return self._connection.__enter__()
+
+    def __exit__(self, *exc_info):
+        result = self._connection.__exit__(*exc_info)
+        self._sample()
+        return result
+
+
+class TestCommittedCheckpoints:
+    def test_each_checkpoint_names_one_content(self, tmp_path):
+        """A reader that sees checkpoint ``h`` always sees the same
+        rows for it: the tip checkpoint commits together with the
+        ledger state, never ahead of it."""
+        builder = _grown_builder(seed=41, blocks=7)
+        path = str(tmp_path / "etl.db")
+        store = EtlStore(path)
+        reader = store.reopen(read_only=True)
+        seen = {}
+
+        def sample():
+            with reader.read_snapshot():
+                key = reader.checkpoint_height
+                seen.setdefault(key, set()).add(reader.content_digest())
+
+        store.connection = _SampleAfterCommit(store.connection, sample)
+        try:
+            ingest_chain(builder.chain, store, batch_blocks=3)
+            builder.grow(6)  # moves ledger state under a resumed ingest
+            ingest_chain(builder.chain, store, batch_blocks=3)
+            ingest_chain(builder.chain, store, batch_blocks=3)  # no-op
+        finally:
+            reader.close()
+            store.close()
+        assert builder.chain.height in seen
+        assert len(seen) > 2  # several batch commits were sampled
+        assert {h: len(d) for h, d in seen.items() if len(d) != 1} == {}

@@ -87,15 +87,6 @@ class TestBuiltins:
         assert resolve("small", seed=9).config.seed == 9
         assert resolve("paper").config.seed == 2021
 
-    def test_deprecated_aliases_warn_but_resolve(self):
-        for alias, canonical in (
-            ("paper10x", "paper-10x"),
-            ("paper_10x", "paper-10x"),
-            ("million_hotspot", "million-hotspot"),
-        ):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                assert resolve(alias).digest == resolve(canonical).digest
-
     def test_listing_carries_digests(self):
         rows = {row["name"]: row for row in list_scenarios()}
         assert rows["small"]["digest"] == BUILTIN_DIGESTS["small"]

@@ -19,6 +19,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -607,8 +611,61 @@ class TestBackpressure:
         server.drain(timeout_s=5)  # must return, not deadlock
         server.server_close()
 
+    def test_drain_before_serve_forever_stops_the_later_loop(self, db_path):
+        _build_db(db_path, seed=6, n_hotspots=3, blocks=4)
+        server = create_server(db_path, port=0, workers=2)
+        server.drain(timeout_s=5)
+        accept = threading.Thread(target=server.serve_forever, daemon=True)
+        accept.start()
+        accept.join(timeout=2)
+        assert not accept.is_alive()
+        assert server._threads == []  # no pool was started
+        server.server_close()
+
     def test_default_workers_is_bounded(self):
         assert 4 <= default_workers() <= 32
+
+
+#: Runs ``serve()`` in a child process, then reports which of its
+#: threads outlived the drain.
+_SERVE_CHILD = """
+import sys, threading
+from repro.serve.server import serve
+serve(sys.argv[1], port=0, workers=2, verbose=False)
+left = [t.name for t in threading.enumerate() if t.name.startswith("serve-")]
+print("left:", ",".join(left), flush=True)
+"""
+
+
+class TestSignalShutdown:
+    def test_sigterm_right_after_listening_exits_cleanly(self, db_path):
+        """A supervisor that signals the moment it reads the listening
+        line must get a prompt, clean exit — not a missed signal and
+        the drain's join timeouts."""
+        _build_db(db_path, seed=7, n_hotspots=3, blocks=4)
+        env = dict(
+            os.environ,
+            PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SERVE_CHILD, db_path],
+            env=env, stdout=subprocess.PIPE, stdin=subprocess.DEVNULL,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, line
+            proc.send_signal(signal.SIGTERM)
+            signalled = time.perf_counter()
+            out, _ = proc.communicate(timeout=10)
+            elapsed = time.perf_counter() - signalled
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert elapsed < 2.0, elapsed
+        assert "left: \n" in out, out
 
 
 # -- reads under ingest ----------------------------------------------------
